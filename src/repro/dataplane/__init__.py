@@ -1,12 +1,9 @@
-"""Dataplane: packets, the per-hop engine, and the compiled plane."""
+"""Dataplane: packets, trajectories and the per-hop engine."""
 
-from repro.dataplane.compiled import CompiledPlane, CompiledReply
 from repro.dataplane.engine import EndReason, ForwardingEngine, ProbeOutcome
 from repro.dataplane.packet import Packet
 
 __all__ = [
-    "CompiledPlane",
-    "CompiledReply",
     "EndReason",
     "ForwardingEngine",
     "Packet",

@@ -31,9 +31,7 @@ order by the golden tests).  Stack entries instead carry a
 :class:`BindingRef` (an index into the trajectory's ordered binding
 *sites*, forced lazily in walk order at evaluation time) or an
 :class:`InputRef` (a label copied from the evaluated packet's own
-stack).  This also keeps label values out of cache keys, which is what
-lets worker processes ship trajectories to the parent process without
-disturbing its allocation order.
+stack).  This also keeps label values out of cache keys.
 """
 
 from __future__ import annotations
@@ -51,8 +49,6 @@ __all__ = [
     "Trajectory",
     "TrajectoryBuilder",
     "ttl_eval",
-    "trajectory_to_wire",
-    "trajectory_from_wire",
 ]
 
 #: Symbolic TTL of a freshly originated packet: ``value(T) = T``.
@@ -371,81 +367,3 @@ class TrajectoryBuilder:
             kind=packet.kind,
         )
 
-
-# ----------------------------------------------------------------------
-# Wire format: ships trajectories between processes.  Router and TE
-# tunnel objects become names; the ``reply_info`` memo and ``forced``
-# mark are deliberately dropped — the receiving engine must recompute
-# both so its label-allocation order stays untouched.
-
-def _te_ref(tunnel):
-    return None if tunnel is None else (tunnel.head, tunnel.tail)
-
-
-def trajectory_to_wire(trajectory: Trajectory) -> dict:
-    """Picklable, process-portable form of ``trajectory``."""
-    return {
-        "names": trajectory.names,
-        "sites": trajectory.sites,
-        "src": trajectory.src,
-        "dst": trajectory.dst,
-        "flow_id": trajectory.flow_id,
-        "kind": trajectory.kind,
-        "thresholds": trajectory.thresholds,
-        "events": [
-            (
-                event.threshold, event.reason, event.hop_index,
-                event.delay_ms, event.ip, event.stack, event.fec,
-                _te_ref(event.te_tunnel), event.expired_fec,
-                event.expired_at_lh, event.bindings_used,
-            )
-            for event in trajectory.events
-        ],
-    }
-
-
-def trajectory_from_wire(wire: dict, network, te_lookup):
-    """Rebuild a :class:`Trajectory` shipped from another process.
-
-    ``network`` resolves router names; ``te_lookup(head, tail)``
-    resolves TE tunnel references.  Returns None when any reference
-    fails to resolve (the receiver then simply rebuilds on demand).
-    """
-    try:
-        routers = [network.router(name) for name in wire["names"]]
-    except KeyError:
-        return None
-    events = []
-    for (threshold, reason, hop_index, delay_ms, ip, stack, fec,
-         te_ref, expired_fec, expired_at_lh, bindings_used) in (
-            wire["events"]):
-        tunnel = None
-        if te_ref is not None:
-            tunnel = te_lookup(te_ref[0], te_ref[1])
-            if tunnel is None:
-                return None
-        event = TrajectoryEvent(
-            threshold=threshold,
-            reason=reason,
-            hop_index=hop_index,
-            delay_ms=delay_ms,
-            ip=ip,
-            stack=stack,
-            fec=fec,
-            te_tunnel=tunnel,
-            expired_fec=expired_fec,
-            expired_at_lh=expired_at_lh,
-            bindings_used=bindings_used,
-        )
-        events.append(event)
-    return Trajectory(
-        routers=routers,
-        names=list(wire["names"]),
-        events=events,
-        thresholds=list(wire["thresholds"]),
-        sites=list(wire["sites"]),
-        src=wire["src"],
-        dst=wire["dst"],
-        flow_id=wire["flow_id"],
-        kind=wire["kind"],
-    )

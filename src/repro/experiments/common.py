@@ -39,7 +39,6 @@ class ContextConfig:
     vantage_points: int = 10
     stubs_per_transit: int = 6
     ttl_propagate_everywhere: bool = False  #: True = visible tunnels
-    workers: int = 1  #: campaign prewarm worker processes
     #: Global probe budget; None = unlimited (partial results when hit).
     probe_budget: Optional[int] = None
     max_retries: int = 0  #: per-probe retries on timeout
@@ -62,11 +61,6 @@ class ContextConfig:
     #: Circuit-breaker threshold for the campaign's ping phase
     #: (consecutive losses before a target is parked); None disables.
     breaker_threshold: Optional[int] = None
-    #: Attach the compiled batch data plane to the engine (results
-    #: are bit-identical; probes evaluate through per-flow programs).
-    compiled_plane: bool = False
-    #: Traceroute TTL rounds per batch submission (1 = serial loop).
-    batch_window: int = 1
     #: RSVP-TE tunnels installed per transit AS (0 = pure-LDP paper
     #: baseline; see :class:`repro.synth.internet.InternetConfig`).
     te_tunnels_per_transit: int = 0
@@ -105,8 +99,6 @@ class CampaignContext:
                     vantage_points=config.vantage_points,
                     stubs_per_transit=config.stubs_per_transit,
                     seed=config.seed,
-                    compiled_plane=config.compiled_plane,
-                    probe_batch_window=config.batch_window,
                     te_tunnels_per_transit=(
                         config.te_tunnels_per_transit
                     ),
@@ -115,8 +107,8 @@ class CampaignContext:
             )
         else:
             # Render-once, attach-many: two contexts in one process
-            # that differ only in execution knobs (workers, budget,
-            # record/replay, compiled plane) now share one rendered
+            # that differ only in execution knobs (budget,
+            # record/replay) now share one rendered
             # topology instead of silently paying ``internet_build``
             # twice for the same content key.
             self.internet = default_registry().attach(
@@ -133,8 +125,6 @@ class CampaignContext:
                     ),
                     te_ttl_propagate=config.te_ttl_propagate,
                 ),
-                compiled_plane=config.compiled_plane,
-                batch_window=config.batch_window,
             )
         prober, recording = self._build_prober(config)
         self.campaign = Campaign(
@@ -143,7 +133,6 @@ class CampaignContext:
             self.internet.asn_of_address,
             CampaignConfig(
                 suspicious_asns=tuple(self.internet.transit_asns),
-                workers=config.workers,
                 probe_budget=config.probe_budget,
                 max_retries=config.max_retries,
                 breaker_threshold=config.breaker_threshold,
@@ -198,13 +187,11 @@ class CampaignContext:
         but under ``replay_path`` every probe is answered from the log
         instead of the simulator.
         """
-        window = config.batch_window
         if config.replay_path is not None:
             return (
                 Prober(
                     ReplayBackend(config.replay_path),
                     obs=self.internet.engine.obs,
-                    batch_window=window,
                 ),
                 None,
             )
@@ -221,9 +208,9 @@ class CampaignContext:
                 backend or SimBackend(self.internet.engine),
                 config.record_path,
             )
-            return Prober(recording, batch_window=window), recording
+            return Prober(recording), recording
         if backend is not None:
-            return Prober(backend, batch_window=window), None
+            return Prober(backend), None
         return self.internet.prober, None
 
     def _build_checkpoint(self, config: ContextConfig):
@@ -231,7 +218,7 @@ class CampaignContext:
 
         The topology descriptor keyed into the snapshot covers every
         field that changes what is measured; execution knobs
-        (workers, budgets, record/replay plumbing) stay out so an
+        (budgets, record/replay plumbing) stay out so an
         interrupted budgeted run and its unbudgeted resume land in
         the same snapshot.
         """
@@ -255,16 +242,6 @@ class CampaignContext:
                 **(
                     {"fault_profile": config.fault_profile}
                     if config.fault_profile is not None
-                    else {}
-                ),
-                # Under faults the batch window shapes the probe
-                # stream (in-flight probes behind a stop still spend
-                # fault-clock positions), so it keys the snapshot;
-                # clean runs are window-invariant and stay unkeyed.
-                **(
-                    {"batch_window": config.batch_window}
-                    if config.fault_profile is not None
-                    and config.batch_window > 1
                     else {}
                 ),
                 # TE knobs change the rendered topology, so they key

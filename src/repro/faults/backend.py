@@ -113,40 +113,9 @@ class FaultyBackend(ProbeBackend):
     def submit_batch(
         self, requests: Sequence[ProbeRequest]
     ) -> List[ProbeReply]:
-        """Batch submission with serial-identical fault application.
-
-        Faults are a pure function of each probe's clock position, so
-        the batch is chunked at the positions where flaps are due:
-        within a chunk no flap can fire, the inner backend sees the
-        chunk as one batch, and each reply is faulted at the exact
-        position a serial :meth:`submit` loop would have used.
-        """
-        replies: List[ProbeReply] = []
-        total = len(requests)
-        index = 0
-        while index < total:
-            position = self.clock
-            self._fire_due_flaps(position)
-            chunk_end = total
-            if self._flaps_fired < len(self._flaps):
-                due = self._flaps[self._flaps_fired][0]
-                chunk_end = min(total, index + (due - position))
-            chunk = requests[index:chunk_end]
-            self.clock += len(chunk)
-            raw = self.inner.submit_batch(chunk)
-            if self.profile.inert:
-                replies.extend(raw)
-            else:
-                for offset, (request, reply) in enumerate(
-                    zip(chunk, raw)
-                ):
-                    replies.append(
-                        reply
-                        if reply.reply_kind is None
-                        else self._apply(position + offset, request, reply)
-                    )
-            index = chunk_end
-        return replies
+        """A plain loop over :meth:`submit`: each reply is faulted at
+        its own clock position, so batches are serial-identical."""
+        return [self.submit(request) for request in requests]
 
     def close(self) -> None:
         self.inner.close()
@@ -181,32 +150,7 @@ class FaultyBackend(ProbeBackend):
             self._flaps_fired += 1
 
     # ------------------------------------------------------------------
-    # Trajectory-cache hooks (delegated; prewarm disabled under flaps)
-
-    @property
-    def trajectory_cache(self) -> bool:
-        """Whether the parallel prewarm may use this backend.
-
-        Reply-level faults never touch the engine, so worker-built
-        trajectories stay valid; flaps mutate the network mid-run and
-        would fire at shard-local clock positions inside forked
-        workers, so profiles with flaps opt out of prewarm entirely.
-        """
-        if self.profile.mutates_network:
-            return False
-        return bool(getattr(self.inner, "trajectory_cache", False))
-
-    def trajectory_snapshot(self):
-        """Delegate to the inner backend's trajectory snapshot."""
-        return self.inner.trajectory_snapshot()
-
-    def export_trajectories(self, known=frozenset()):
-        """Delegate trajectory export to the inner backend."""
-        return self.inner.export_trajectories(known)
-
-    def install_trajectories(self, wires) -> int:
-        """Delegate trajectory install to the inner backend."""
-        return self.inner.install_trajectories(wires)
+    # Invalidation hooks (delegated)
 
     def add_invalidation_listener(self, listener) -> None:
         """Register ``listener`` on the inner backend's control

@@ -152,8 +152,8 @@ class FaultProfile:
     @property
     def mutates_network(self) -> bool:
         """True when the profile fires flaps that change the simulated
-        network mid-run (disables the parallel prewarm — forked
-        workers would fire flaps at shard-local clock positions)."""
+        network mid-run (so it cannot run over a frozen shared
+        snapshot)."""
         return bool(self.flaps)
 
     # ------------------------------------------------------------------

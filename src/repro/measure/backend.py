@@ -57,10 +57,9 @@ class ProbeRequest:
     and can address any backend.
 
     A plain ``__slots__`` value object (compared by value, hashable)
-    rather than a frozen dataclass: windowed tracerouting constructs
-    one request per in-flight TTL, and the frozen ``__init__``'s
-    ``object.__setattr__`` per field costs more than evaluating the
-    probe through a compiled program.  Treated as immutable by every
+    rather than a frozen dataclass: the service builds one request per
+    probe, and the frozen ``__init__``'s ``object.__setattr__`` per
+    field is measurable on that path.  Treated as immutable by every
     layer, like the replies.
     """
 

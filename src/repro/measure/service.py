@@ -13,7 +13,7 @@ backend — budgets count probes, deadlines count *simulated*
 measurement milliseconds (reply RTTs), and the cache is keyed on the
 request — so its ``measure.*`` counters belong to the measurement
 namespace of :func:`repro.obs.measurement_counters` and stay invariant
-across execution strategies (serial vs. parallel prewarm, live vs.
+across execution strategies (standalone vs. served, live vs.
 replay).
 """
 
@@ -164,7 +164,6 @@ class ProbeService:
         #: Quarantined-reply records (insertion order), each a
         #: JSON-ready dict with the probe identity and the reason.
         self._quarantine: List[Dict[str, object]] = []
-        self._unmetered = False
         # Backends wrapping a simulator invalidate cached replies when
         # the control plane changes under them.
         register = getattr(backend, "add_invalidation_listener", None)
@@ -178,15 +177,6 @@ class ProbeService:
         """Replace policy fields in place; returns the new policy."""
         self.policy = replace(self.policy, **overrides)
         return self.policy
-
-    def exempt_budgets(self) -> None:
-        """Stop enforcing budgets on this service instance.
-
-        Used by forked prewarm workers: they inherit the parent's
-        spend counters but their probes warm caches rather than
-        consume the campaign's budget.
-        """
-        self._unmetered = True
 
     @contextmanager
     def scope(self, name: str) -> Iterator[None]:
@@ -478,8 +468,6 @@ class ProbeService:
     def _charge_budget(self, count: int = 1) -> None:
         """Raise :class:`BudgetExceeded` if ``count`` more probes
         would overrun the global or any active scope budget."""
-        if self._unmetered:
-            return
         policy = self.policy
         if (
             policy.probe_budget is not None
@@ -724,27 +712,6 @@ class ProbeService:
             or self.obs.events.debug
         )
         retries = policy.max_retries
-        if (
-            keyer is None
-            and trace_budget is None
-            and not per_reply
-            and not retries
-        ):
-            # Nothing per-reply to do: admit, account, submit, count.
-            if type(requests) is not list:
-                requests = list(requests)
-            self._charge_budget(len(requests))
-            self._account_batch(requests, probe)
-            # Backends return a fresh list per call — no defensive copy.
-            raw = self.backend.submit_batch(requests)
-            kind_counts: Dict[str, int] = {}
-            for reply in raw:
-                kind = reply.reply_kind or "none"
-                kind_counts[kind] = kind_counts.get(kind, 0) + 1
-            inc = self.obs.metrics.inc
-            for kind, total in kind_counts.items():
-                inc("probe.reply." + kind, total)
-            return raw
         requests = list(requests)
         replies: List[Optional[ProbeReply]] = [None] * len(requests)
         pending: List[Tuple[int, Optional[tuple]]] = []

@@ -171,8 +171,7 @@ class EventLog:
         self._refresh()
 
     def detach_all(self) -> None:
-        """Drop every sink — used by forked campaign workers so they
-        never write into the parent's trace file."""
+        """Drop every sink."""
         self.sinks.clear()
         self._refresh()
 

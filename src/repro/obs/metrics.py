@@ -4,10 +4,10 @@ The registry is the numeric half of the observability subsystem
 (:mod:`repro.obs`).  It is deliberately minimal — plain dictionaries
 and integer adds — because it sits on the simulator's hot path: the
 forwarding engine increments counters per probe and per walked hop.
-No locks are needed: the process is single-threaded, and parallel
-campaigns fork workers that each own a copy-on-write clone of the
-registry and ship counter *deltas* back for an explicit merge
-(:meth:`MetricsRegistry.merge_counters`).
+No locks are needed: each registry belongs to one component stack,
+driven by one thread at a time.  Counter *deltas* move between
+registries by an explicit merge (:meth:`MetricsRegistry.merge_counters`,
+used when a checkpoint resume restores a run's counters).
 
 Counter names are dotted paths (``probe.sent.traceroute``,
 ``engine.trajectory_hits``).  The first segment is a namespace with
@@ -16,16 +16,14 @@ defined invariance semantics:
 * **measurement counters** (``probe.*``, ``trace.*``, ``campaign.*``,
   ``revelation.*``, ``dpr.*``, ``brpr.*``, ``frpla.*``, ``rtla.*``)
   describe *what was measured* and are invariant under execution
-  strategy — a ``workers=N`` campaign reports exactly the same totals
-  as a serial run (the measurements are replayed by the same serial
-  code path);
-* **execution counters** (``engine.*``, ``phase.*``, ``prewarm.*``,
-  ``span.*``) describe *how* the run executed (cache hits vs misses,
-  worker prewarm activity, timings) and legitimately differ between
-  serial and parallel runs.
+  strategy — a served or resumed campaign reports exactly the same
+  totals as an uninterrupted standalone run;
+* **execution counters** (``engine.*``, ``phase.*``, ``span.*``, …)
+  describe *how* the run executed (cache hits vs misses, timings) and
+  legitimately differ between runs of the same measurement.
 
 :func:`measurement_counters` filters a registry down to the invariant
-set; the parallel-equals-serial test pins the contract.
+set; the served-equals-standalone and resume tests pin the contract.
 """
 
 from __future__ import annotations
@@ -48,11 +46,10 @@ DEFAULT_BUCKETS: Tuple[float, ...] = (
 )
 
 #: Counter namespaces that depend on the execution strategy (caching,
-#: worker count, wall-clock, checkpoint/resume) rather than on what
-#: was measured.
+#: wall-clock, checkpoint/resume) rather than on what was measured.
 EXECUTION_PREFIXES: Tuple[str, ...] = (
-    "dataplane.", "engine.", "monitor.", "phase.", "prewarm.",
-    "serve.", "span.", "store.",
+    "dataplane.", "engine.", "monitor.", "phase.", "serve.", "span.",
+    "store.",
 )
 
 
@@ -154,12 +151,8 @@ class MetricsRegistry:
     def merge_counters(
         self, deltas: Mapping[str, int], prefix: str = ""
     ) -> None:
-        """Add ``deltas`` into this registry, optionally re-namespaced.
-
-        Parallel campaigns merge each worker's counter deltas under the
-        ``prewarm.`` prefix so worker activity stays distinguishable
-        from the authoritative serial replay.
-        """
+        """Add ``deltas`` into this registry, optionally re-namespaced
+        under ``prefix``."""
         for name, value in deltas.items():
             self.inc(prefix + name, value)
 
@@ -250,8 +243,8 @@ def measurement_counters(
 ) -> Dict[str, int]:
     """The execution-strategy-invariant subset of ``counters``.
 
-    These are the totals that must be identical between a serial and a
-    ``workers=N`` campaign (see the module docstring for the namespace
+    These are the totals that must be identical between runs of the
+    same measurement (see the module docstring for the namespace
     contract).
     """
     return {

@@ -134,8 +134,7 @@ class ControlPlane:
 
         Fires the invalidation listeners like install does: traffic
         previously steered onto the explicit path falls back to the
-        LDP/IGP route, so memoised trajectories and compiled programs
-        must flush.
+        LDP/IGP route, so memoised trajectories must flush.
         """
         self.te.remove(head, tail)
         self._notify_invalidation()

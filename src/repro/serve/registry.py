@@ -60,8 +60,8 @@ class TopologySpec:
 
     Mirrors the topology descriptor the campaign warehouse keys
     snapshots on (``CampaignContext._build_checkpoint``): execution
-    knobs — compiled plane, batch window, budgets — deliberately stay
-    out, because they configure *attachments*, not the shared render.
+    knobs — budgets, retries, record/replay — deliberately stay out,
+    because they configure *attachments*, not the shared render.
     """
 
     scale: float = 1.0
@@ -164,12 +164,28 @@ class SnapshotRegistry:
         snapshot = self._snapshots.get(topology_key(spec))
         return None if snapshot is None else snapshot.internet
 
+    def _snapshot(self, spec: TopologySpec) -> _Snapshot:
+        """The snapshot for ``spec``, rendered and frozen on first use
+        (call with the lock held)."""
+        key = topology_key(spec)
+        snapshot = self._snapshots.get(key)
+        if snapshot is None:
+            start = time.perf_counter()
+            internet = render_internet(spec)
+            seconds = time.perf_counter() - start
+            internet.network.freeze()
+            snapshot = _Snapshot(spec, internet, seconds)
+            self._snapshots[key] = snapshot
+            self.obs.metrics.inc("serve.snapshot.renders")
+            self.obs.metrics.observe(
+                "serve.snapshot.render_ms", seconds * 1000.0
+            )
+        else:
+            self.obs.metrics.inc("serve.snapshot.attach_hits")
+        return snapshot
+
     def attach(
-        self,
-        spec: TopologySpec,
-        compiled_plane: bool = False,
-        batch_window: int = 1,
-        obs: Optional[Obs] = None,
+        self, spec: TopologySpec, obs: Optional[Obs] = None
     ) -> AttachedInternet:
         """An attach handle over the (rendered-on-demand) snapshot.
 
@@ -178,36 +194,13 @@ class SnapshotRegistry:
         private; pass ``obs`` to route the tenant's counters and
         events into an isolated bundle.
         """
-        key = topology_key(spec)
         with self._lock:
-            snapshot = self._snapshots.get(key)
-            if snapshot is None:
-                start = time.perf_counter()
-                internet = render_internet(spec)
-                seconds = time.perf_counter() - start
-                internet.network.freeze()
-                snapshot = _Snapshot(spec, internet, seconds)
-                self._snapshots[key] = snapshot
-                self.obs.metrics.inc("serve.snapshot.renders")
-                self.obs.metrics.observe(
-                    "serve.snapshot.render_ms", seconds * 1000.0
-                )
-            else:
-                self.obs.metrics.inc("serve.snapshot.attach_hits")
+            snapshot = self._snapshot(spec)
             snapshot.attach_count += 1
             self.obs.metrics.inc("serve.snapshot.attaches")
-            return snapshot.internet.attach(
-                compiled_plane=compiled_plane,
-                probe_batch_window=batch_window,
-                obs=obs,
-            )
+            return snapshot.internet.attach(obs=obs)
 
-    def checkout(
-        self,
-        spec: TopologySpec,
-        compiled_plane: bool = False,
-        batch_window: int = 1,
-    ) -> SyntheticInternet:
+    def checkout(self, spec: TopologySpec) -> SyntheticInternet:
         """A private, **unfrozen** copy-on-churn twin of the snapshot.
 
         Where :meth:`attach` hands out a read-only view of the shared
@@ -218,27 +211,10 @@ class SnapshotRegistry:
         for every attached tenant.  The render itself is still paid
         only once per key; every checkout after the first reuses it.
         """
-        key = topology_key(spec)
         with self._lock:
-            snapshot = self._snapshots.get(key)
-            if snapshot is None:
-                start = time.perf_counter()
-                internet = render_internet(spec)
-                seconds = time.perf_counter() - start
-                internet.network.freeze()
-                snapshot = _Snapshot(spec, internet, seconds)
-                self._snapshots[key] = snapshot
-                self.obs.metrics.inc("serve.snapshot.renders")
-                self.obs.metrics.observe(
-                    "serve.snapshot.render_ms", seconds * 1000.0
-                )
-            else:
-                self.obs.metrics.inc("serve.snapshot.attach_hits")
+            snapshot = self._snapshot(spec)
             start = time.perf_counter()
-            twin = snapshot.internet.clone(
-                compiled_plane=compiled_plane,
-                probe_batch_window=batch_window,
-            )
+            twin = snapshot.internet.clone()
             self.obs.metrics.inc("serve.snapshot.checkouts")
             self.obs.metrics.observe(
                 "serve.snapshot.checkout_ms",

@@ -4,8 +4,8 @@ A :class:`TenantSpec` is everything a tenant submits: which topology
 to measure (a :class:`~repro.serve.registry.TopologySpec`, resolved
 through the shared snapshot registry), its scheduler weight, and the
 campaign policy knobs the standalone CLI already exposes (probe
-budget, retries, chaos profile, circuit breaker, compiled plane,
-batch window, warehouse checkpoint).
+budget, retries, chaos profile, circuit breaker, warehouse
+checkpoint).
 
 A :class:`CampaignSession` runs the **unmodified**
 :class:`~repro.campaign.orchestrator.Campaign` in a worker thread
@@ -66,10 +66,10 @@ class AdmissionError(ValueError):
     """Raised when the server refuses a tenant spec.
 
     Admission is the contract that keeps shared snapshots safe and
-    results deterministic: specs asking for prewarm workers (fork
-    from a thread) or network-mutating chaos profiles (flaps against
-    a frozen shared topology) are rejected up front with an
-    actionable message instead of failing mid-campaign.
+    results deterministic: specs asking for network-mutating chaos
+    profiles (flaps against a frozen shared topology) or non-positive
+    weights are rejected up front with an actionable message instead
+    of failing mid-campaign.
     """
 
 
@@ -89,8 +89,6 @@ class TenantSpec:
     #: that mutate the network are refused on shared snapshots.
     fault_profile: Optional[str] = None
     breaker_threshold: Optional[int] = None
-    compiled_plane: bool = False
-    batch_window: int = 1
     #: Warehouse root for checkpoint/resume (same machinery and
     #: snapshot keys as ``repro campaign --checkpoint/--resume``).
     checkpoint_dir: Optional[str] = None
@@ -98,9 +96,6 @@ class TenantSpec:
     #: Truncate the campaign target list (soak/test sizing knob);
     #: None probes every campaign target.
     max_targets: Optional[int] = None
-    #: Prewarm workers — must stay 1 under the server (admission
-    #: enforces it); kept as a field so the spec mirrors the CLI.
-    workers: int = 1
     #: Mirror this session's events to a JSONL file at this path.
     events_path: Optional[str] = None
 
@@ -109,7 +104,6 @@ class TenantSpec:
         the standalone ``CampaignContext`` construction)."""
         return CampaignConfig(
             suspicious_asns=tuple(internet.transit_asns),
-            workers=1,
             probe_budget=self.probe_budget,
             max_retries=self.max_retries,
             breaker_threshold=self.breaker_threshold,
@@ -122,8 +116,6 @@ class TenantSpec:
         descriptor = self.topology.descriptor()
         if self.fault_profile is not None:
             descriptor["fault_profile"] = self.fault_profile
-            if self.batch_window > 1:
-                descriptor["batch_window"] = self.batch_window
         return descriptor
 
 
@@ -271,12 +263,7 @@ class CampaignSession:
             )
         obs = Obs(MetricsRegistry(), events, Tracer(events))
         self.metrics = obs.metrics
-        attached = self._registry.attach(
-            spec.topology,
-            compiled_plane=spec.compiled_plane,
-            batch_window=spec.batch_window,
-            obs=obs,
-        )
+        attached = self._registry.attach(spec.topology, obs=obs)
         backend = SimBackend(attached.engine)
         if spec.fault_profile is not None:
             from repro.faults import FaultyBackend, fault_profile
@@ -287,7 +274,7 @@ class CampaignSession:
         gate = ScheduledBackend(
             backend, self._scheduler, spec.tenant, self._loop
         )
-        prober = Prober(gate, batch_window=spec.batch_window)
+        prober = Prober(gate)
         campaign = Campaign(
             prober,
             attached.vps,
@@ -337,11 +324,7 @@ def run_standalone(spec: TenantSpec):
     """
     internet = render_internet(spec.topology)
     obs = Obs(MetricsRegistry(), EventLog())
-    attached = internet.attach(
-        compiled_plane=spec.compiled_plane,
-        probe_batch_window=spec.batch_window,
-        obs=obs,
-    )
+    attached = internet.attach(obs=obs)
     backend = SimBackend(attached.engine)
     if spec.fault_profile is not None:
         from repro.faults import FaultyBackend, fault_profile
@@ -349,7 +332,7 @@ def run_standalone(spec: TenantSpec):
         backend = FaultyBackend(
             backend, fault_profile(spec.fault_profile)
         )
-    prober = Prober(backend, batch_window=spec.batch_window)
+    prober = Prober(backend)
     campaign = Campaign(
         prober,
         attached.vps,

@@ -7,10 +7,16 @@ from repro.campaign.crossval import (
     cross_validate,
     extract_explicit_tunnels,
 )
-from repro.campaign.orchestrator import Campaign, CampaignConfig
+from repro.campaign.orchestrator import (
+    Campaign,
+    CampaignConfig,
+    CampaignResult,
+)
 from repro.campaign.targets import select_targets, split_among_teams
 from repro.analysis.itdk import TraceGraph
 from repro.experiments.common import ContextConfig, campaign_context
+from repro.net.topology import Network
+from repro.probing.prober import PingResult, Trace, TraceHop
 from repro.synth.internet import InternetConfig, build_internet
 from repro.synth.profiles import paper_profiles
 
@@ -240,3 +246,93 @@ class TestDurationEstimate:
             context.result.duration_estimate_seconds(rate_pps=0)
         with pytest.raises(ValueError):
             context.result.duration_estimate_seconds(teams=0)
+
+
+class TestPerfStats:
+    def test_perf_stats_populated(self):
+        internet = build_internet(InternetConfig(seed=77))
+        campaign = Campaign(
+            internet.prober,
+            internet.vps,
+            internet.asn_of_address,
+            CampaignConfig(suspicious_asns=tuple(internet.transit_asns)),
+        )
+        result = campaign.run(internet.campaign_targets())
+        phases = result.perf.phase_seconds
+        assert set(phases) == {"trace", "ping", "extract", "revelation"}
+        assert all(seconds >= 0.0 for seconds in phases.values())
+        assert result.perf.total_seconds == pytest.approx(
+            sum(phases.values())
+        )
+        assert result.perf.packets_simulated > 0
+        assert 0.0 <= result.perf.hit_rate <= 1.0
+
+
+class _ScriptedProber:
+    """Ping stub with per-(vp, address) scripted responsiveness."""
+
+    def __init__(self, responses):
+        self.responses = responses
+        self.probes_sent = 0
+        self.engine = None
+
+    def ping(self, source, dst):
+        self.probes_sent += 1
+        responded = self.responses[(source.name, dst)]
+        return PingResult(
+            dst=dst,
+            responded=responded,
+            reply_ttl=60 if responded else None,
+            source=source.name,
+        )
+
+
+def _trace_seeing(source, address):
+    return Trace(
+        source=source,
+        source_address=1,
+        dst=9999,
+        flow_id=1,
+        hops=[TraceHop(probe_ttl=2, address=address)],
+    )
+
+
+class TestPingPhaseMerge:
+    def _campaign(self, responses):
+        network = Network()
+        vp_a = network.add_router("A", asn=1)
+        vp_b = network.add_router("B", asn=1)
+        prober = _ScriptedProber(responses)
+        return Campaign(
+            prober, [vp_a, vp_b], lambda address: 1, CampaignConfig()
+        )
+
+    def test_first_responsive_ping_wins(self):
+        campaign = self._campaign(
+            {("A", 42): True, ("B", 42): True}
+        )
+        result = CampaignResult()
+        result.traces = [_trace_seeing("A", 42), _trace_seeing("B", 42)]
+        campaign.ping_phase(result)
+        # Both VPs answered; the first (A) must not be clobbered.
+        assert result.pings[42].source == "A"
+
+    def test_responsive_ping_replaces_unresponsive(self):
+        campaign = self._campaign(
+            {("A", 42): False, ("B", 42): True}
+        )
+        result = CampaignResult()
+        result.traces = [_trace_seeing("A", 42), _trace_seeing("B", 42)]
+        campaign.ping_phase(result)
+        assert result.pings[42].source == "B"
+        assert result.pings[42].responded
+
+    def test_unresponsive_never_downgrades(self):
+        campaign = self._campaign(
+            {("A", 42): True, ("B", 42): False}
+        )
+        result = CampaignResult()
+        result.traces = [_trace_seeing("A", 42), _trace_seeing("B", 42)]
+        campaign.ping_phase(result)
+        assert result.pings[42].source == "A"
+        assert result.pings[42].responded

@@ -178,3 +178,13 @@ class TestCampaignCheckpoint:
                 ["campaign", "--checkpoint", "a", "--resume", "b"]
             )
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [["--compiled"], ["--workers", "2"], ["--batch-window", "8"]],
+    )
+    def test_removed_execution_flags_rejected(self, capsys, flags):
+        with pytest.raises(SystemExit) as exc:
+            main(["campaign", *flags])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

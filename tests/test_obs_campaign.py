@@ -1,8 +1,8 @@
 """Observability contracts at the campaign level.
 
 Pins the counter namespace invariance (measurement counters identical
-between serial and ``workers=2`` runs), the per-phase cache
-attribution, the report's edge cases, the span coverage of the
+between the trajectory-cached engine and the walk-per-probe oracle),
+the per-phase cache attribution, the report's edge cases, the span coverage of the
 revelation techniques on the GNS3 golden scenarios, and the CLI's
 ``--trace-out`` / ``--metrics-out`` artefacts.
 """
@@ -33,70 +33,53 @@ from repro.synth.gns3 import build_gns3
 from repro.synth.internet import InternetConfig, build_internet
 
 
-def _run_campaign(workers):
-    internet = build_internet(InternetConfig(seed=77))
+def _run_campaign(trajectory_cache):
+    internet = build_internet(
+        InternetConfig(seed=77, trajectory_cache=trajectory_cache)
+    )
     campaign = Campaign(
         internet.prober,
         internet.vps,
         internet.asn_of_address,
-        CampaignConfig(
-            suspicious_asns=tuple(internet.transit_asns),
-            workers=workers,
-        ),
+        CampaignConfig(suspicious_asns=tuple(internet.transit_asns)),
     )
     result = campaign.run(internet.campaign_targets())
     return campaign, result
 
 
 @pytest.fixture(scope="module")
-def serial_and_parallel():
-    return _run_campaign(1), _run_campaign(2)
+def cached_and_walked():
+    return _run_campaign(True), _run_campaign(False)
 
 
 class TestCounterInvariance:
-    def test_measurement_counters_identical(self, serial_and_parallel):
-        (serial, _), (parallel, _) = serial_and_parallel
-        serial_counters = measurement_counters(
-            serial.obs.metrics.counters
+    def test_measurement_counters_identical(self, cached_and_walked):
+        (cached, _), (walked, _) = cached_and_walked
+        cached_counters = measurement_counters(
+            cached.obs.metrics.counters
         )
-        parallel_counters = measurement_counters(
-            parallel.obs.metrics.counters
+        walked_counters = measurement_counters(
+            walked.obs.metrics.counters
         )
-        assert serial_counters == parallel_counters
+        assert cached_counters == walked_counters
         # And they are not trivially empty.
-        assert serial_counters["probe.sent.traceroute"] > 0
-        assert serial_counters["revelation.attempts"] > 0
-
-    def test_parallel_run_records_prewarm_activity(
-        self, serial_and_parallel
-    ):
-        (serial, _), (parallel, _) = serial_and_parallel
-        serial_counters = serial.obs.metrics.counters
-        parallel_counters = parallel.obs.metrics.counters
-        assert parallel_counters["prewarm.rounds"] > 0
-        assert (
-            parallel_counters["prewarm.probe.sent.traceroute"] > 0
-        )
-        assert not any(
-            name.startswith("prewarm.") for name in serial_counters
-        )
+        assert cached_counters["probe.sent.traceroute"] > 0
+        assert cached_counters["revelation.attempts"] > 0
 
     def test_execution_counters_differ_as_expected(
-        self, serial_and_parallel
+        self, cached_and_walked
     ):
-        (serial, _), (parallel, _) = serial_and_parallel
-        # The prewarmed parent replays mostly from cache: more hits,
-        # fewer misses than the cold serial run — the exact reason
-        # engine.* is excluded from the invariance contract.
-        assert (
-            parallel.obs.metrics.get("engine.trajectory_hits")
-            > serial.obs.metrics.get("engine.trajectory_hits")
-        )
+        (cached, _), (walked, _) = cached_and_walked
+        # The oracle walks every packet and never consults the cache,
+        # while the cached engine replays re-probed flows — the exact
+        # reason engine.* is excluded from the invariance contract.
+        assert cached.obs.metrics.get("engine.trajectory_hits") > 0
+        assert walked.obs.metrics.get("engine.trajectory_hits") == 0
 
 
 class TestPhaseAttribution:
-    def test_phase_counters_match_registry(self, serial_and_parallel):
-        (campaign, result), _ = serial_and_parallel
+    def test_phase_counters_match_registry(self, cached_and_walked):
+        (campaign, result), _ = cached_and_walked
         metrics = campaign.obs.metrics
         assert set(result.perf.phase_counters) == {
             "trace", "ping", "extract", "revelation",
@@ -110,8 +93,8 @@ class TestPhaseAttribution:
             )
             assert metrics.gauge(f"phase.{phase}.seconds") >= 0.0
 
-    def test_phase_deltas_sum_to_run_totals(self, serial_and_parallel):
-        (_, result), _ = serial_and_parallel
+    def test_phase_deltas_sum_to_run_totals(self, cached_and_walked):
+        (_, result), _ = cached_and_walked
         hits = sum(
             c["trajectory_hits"]
             for c in result.perf.phase_counters.values()
@@ -128,7 +111,7 @@ class TestPerfSectionEdgeCases:
     def test_default_perf_stats_render(self):
         section = render_perf_section(CampaignResult())
         assert "## Performance" in section
-        assert "workers" in section
+        assert "trajectory cache hits" in section
         assert "phase" not in section  # no phases recorded
         assert "0.0%" in section  # hit rate defined at zero probes
 

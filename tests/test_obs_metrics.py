@@ -129,7 +129,6 @@ class TestMeasurementCounters:
             "revelation.traces": 3,
             "engine.trajectory_hits": 7,
             "phase.trace.trajectory_hits": 7,
-            "prewarm.probe.sent.traceroute": 5,
             "span.count": 1,
         }
         kept = measurement_counters(counters)

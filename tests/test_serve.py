@@ -65,17 +65,6 @@ class TestByteIdentity:
             expected, metrics.counters_snapshot()
         )
 
-    def test_batch_window_spec_still_identical(self):
-        spec = small_spec("windowed", batch_window=4)
-        client = ServeClient(registry=SnapshotRegistry())
-        try:
-            served = client.submit(spec).wait(timeout=300)
-        finally:
-            client.close()
-        expected, _ = run_standalone(spec)
-        assert served.traces == expected.traces
-        assert served.revelations == expected.revelations
-
 
 class TestSnapshotSharing:
     def test_32_tenants_4_snapshots_renders_once_per_key(self):
@@ -187,14 +176,6 @@ class TestFreezeGuard:
 
 
 class TestAdmission:
-    def test_workers_must_be_one(self):
-        client = ServeClient(registry=SnapshotRegistry())
-        try:
-            with pytest.raises(AdmissionError, match="workers"):
-                client.submit(small_spec("forker", workers=4))
-        finally:
-            client.close()
-
     def test_unknown_profile_rejected(self):
         client = ServeClient(registry=SnapshotRegistry())
         try:
@@ -301,12 +282,9 @@ class TestTopologyKey:
         # Serve sessions and `repro campaign --checkpoint` must land
         # in the same warehouse snapshot for the same measured
         # topology + chaos shape.
-        spec = small_spec("ckpt", fault_profile="hostile",
-                          batch_window=2)
+        spec = small_spec("ckpt", fault_profile="hostile")
         descriptor = spec.checkpoint_topology()
         assert descriptor["kind"] == "synthetic-internet"
         assert descriptor["fault_profile"] == "hostile"
-        assert descriptor["batch_window"] == 2
         clean = small_spec("clean").checkpoint_topology()
         assert "fault_profile" not in clean
-        assert "batch_window" not in clean

@@ -41,7 +41,7 @@ BUDGETS = {
 }
 
 
-def _build(budget=None, workers=1):
+def _build(budget=None):
     internet = build_internet(InternetConfig(seed=77))
     campaign = Campaign(
         internet.prober,
@@ -50,7 +50,6 @@ def _build(budget=None, workers=1):
         CampaignConfig(
             suspicious_asns=tuple(internet.transit_asns),
             probe_budget=budget,
-            workers=workers,
         ),
     )
     return internet, campaign
@@ -89,7 +88,7 @@ def baseline():
     return result, _counters(campaign)
 
 
-def _interrupt_and_resume(tmp_path, budget, resume_workers=1):
+def _interrupt_and_resume(tmp_path, budget):
     """Budget-kill a checkpointed run, then resume it to completion."""
     internet, campaign = _build(budget=budget)
     partial = campaign.run(
@@ -97,7 +96,7 @@ def _interrupt_and_resume(tmp_path, budget, resume_workers=1):
         checkpoint=CampaignCheckpoint(str(tmp_path), TOPOLOGY),
     )
     assert partial.partial
-    internet, campaign = _build(workers=resume_workers)
+    internet, campaign = _build()
     resumed = campaign.run(
         internet.campaign_targets(),
         checkpoint=CampaignCheckpoint(
@@ -113,14 +112,6 @@ class TestResumeBitIdentical:
         expected, expected_counters = baseline
         _, resumed, campaign = _interrupt_and_resume(
             tmp_path, BUDGETS[phase]
-        )
-        _assert_results_equal(resumed, expected)
-        assert _counters(campaign) == expected_counters
-
-    def test_resume_with_workers(self, tmp_path, baseline):
-        expected, expected_counters = baseline
-        _, resumed, campaign = _interrupt_and_resume(
-            tmp_path, BUDGETS["ping"], resume_workers=2
         )
         _assert_results_equal(resumed, expected)
         assert _counters(campaign) == expected_counters
@@ -298,7 +289,6 @@ class TestIdentityKey:
         base = CampaignConfig(suspicious_asns=(64500,))
         tuned = CampaignConfig(
             suspicious_asns=(64500,),
-            workers=8,
             probe_budget=100,
             retry_backoff_ms=50.0,
         )

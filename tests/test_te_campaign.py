@@ -3,8 +3,9 @@
 The contract under test (ISSUE: RSVP-TE promotion): the synth
 generator renders seeded TE tunnels that real transit traffic rides;
 TE-free builds stay byte-identical to older seeds; recorded probe
-logs are byte-identical scalar-vs-batch with TE tunnels installed;
-compiled programs flush on TE install *and* teardown (chaos flap
+logs of the trajectory-cached engine are byte-identical to the
+walk-per-probe oracle's with TE tunnels installed; memoised
+trajectories flush on TE install *and* teardown (chaos flap
 included); and a mixed LDP+TE campaign checkpoints and resumes
 bit-identically.
 """
@@ -27,16 +28,14 @@ BASE = dict(
 )
 
 
-def te_internet(seed=11, te=2, compiled=False, window=1,
-                propagate=False):
+def te_internet(seed=11, te=2, trajectory_cache=True, propagate=False):
     return build_internet(
         InternetConfig(
             profiles=tuple(paper_profiles(0.4)),
             vantage_points=3,
             stubs_per_transit=2,
             seed=seed,
-            compiled_plane=compiled,
-            probe_batch_window=window,
+            trajectory_cache=trajectory_cache,
             te_tunnels_per_transit=te,
             te_ttl_propagate=propagate,
         )
@@ -88,13 +87,11 @@ class TestSynthTe:
         assert ridden > 0
 
 
-def _record_log(tmp_path, name, compiled, window):
-    internet = te_internet(compiled=compiled, window=window)
+def _record_log(tmp_path, name, trajectory_cache):
+    internet = te_internet(trajectory_cache=trajectory_cache)
     path = str(tmp_path / name)
     recording = RecordingBackend(SimBackend(internet.engine), path)
-    prober = Prober(
-        recording, obs=internet.engine.obs, batch_window=window
-    )
+    prober = Prober(recording, obs=internet.engine.obs)
     vp = internet.vps[0]
     for dst in internet.campaign_targets()[:6]:
         prober.traceroute(vp, dst)
@@ -104,19 +101,15 @@ def _record_log(tmp_path, name, compiled, window):
         return handle.read()
 
 
-class TestCompiledIdentityWithTe:
-    @pytest.mark.parametrize("window", [1, 8])
-    def test_logs_byte_identical(self, tmp_path, window):
-        scalar = _record_log(
-            tmp_path, "scalar.jsonl", compiled=False, window=window
-        )
-        compiled = _record_log(
-            tmp_path, "compiled.jsonl", compiled=True, window=window
-        )
-        assert scalar == compiled
+class TestCacheIdentityWithTe:
+    def test_logs_match_walked_oracle(self, tmp_path):
+        cached = _record_log(tmp_path, "cached.jsonl", True)
+        walked = _record_log(tmp_path, "walked.jsonl", False)
+        assert cached == walked
 
-    def test_install_and_teardown_flush_programs(self):
-        internet = te_internet(te=0, compiled=True, window=8)
+    def test_install_and_teardown_flush_trajectories(self):
+        internet = te_internet(te=0)
+        engine = internet.engine
 
         def all_paths():
             return [
@@ -126,18 +119,16 @@ class TestCompiledIdentityWithTe:
             ]
 
         before = all_paths()
-        metrics = internet.engine.obs.metrics
-        assert internet.engine.compiled_plane.stats()["programs"] > 0
-        flushes = metrics.get("dataplane.compiled.invalidations")
+        assert engine.cache_stats()["cached_trajectories"] > 0
+        flushes = engine.obs.metrics.get("engine.cache_flushes")
 
         # Steal the seeded tunnels from a TE-enabled twin and install
-        # them mid-flight: the memoised programs must flush...
+        # them mid-flight: the memoised trajectories must flush...
         twin = te_internet(te=2)
         for tunnel in twin.te_tunnels:
             internet.control.install_te_tunnel(tunnel)
-        assert (
-            metrics.get("dataplane.compiled.invalidations") > flushes
-        )
+        assert engine.obs.metrics.get("engine.cache_flushes") > flushes
+        assert engine.cache_stats()["cached_trajectories"] == 0
         # ...after which the patched internet forwards exactly like a
         # twin that was *born* with the tunnels (TE install is the last
         # build step, so the underlying topologies are identical).
@@ -150,12 +141,12 @@ class TestCompiledIdentityWithTe:
         assert during == te_native
         assert during != before
         # ...and teardown must flush again and restore the IGP paths.
-        flushes = metrics.get("dataplane.compiled.invalidations")
+        assert engine.cache_stats()["cached_trajectories"] > 0
+        flushes = engine.obs.metrics.get("engine.cache_flushes")
         for tunnel in twin.te_tunnels:
             internet.control.remove_te_tunnel(tunnel.head, tunnel.tail)
-        assert (
-            metrics.get("dataplane.compiled.invalidations") > flushes
-        )
+        assert engine.obs.metrics.get("engine.cache_flushes") > flushes
+        assert engine.cache_stats()["cached_trajectories"] == 0
         assert all_paths() == before
 
     def test_teardown_of_unknown_tunnel_raises(self):
@@ -191,19 +182,8 @@ def _assert_results_equal(left, right):
 
 
 class TestMixedCampaigns:
-    def test_compiled_equals_scalar_with_te(self):
-        # Same batch window on both sides: windowed probing keeps
-        # extra probes in flight behind a stop (they spend budget), so
-        # only the compiled plane may differ between the two runs.
-        scalar = _context(batch_window=8)
-        compiled = _context(compiled_plane=True, batch_window=8)
-        _assert_results_equal(compiled.result, scalar.result)
-
     def test_chaos_flap_campaign_completes_with_te(self):
-        context = _context(
-            fault_profile="flap", compiled_plane=True, batch_window=8,
-            max_retries=1,
-        )
+        context = _context(fault_profile="flap", max_retries=1)
         result = context.result
         assert not result.partial
         assert result.traces

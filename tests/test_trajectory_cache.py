@@ -4,20 +4,25 @@ The cached dataplane must be *observationally invisible*: every
 measurement (traceroute hops, pings, UDP alias probes) produced by a
 trajectory-cached engine must equal, field for field, what the
 original walk-per-probe engine produces — on the synthetic Internet
-and on all four GNS3 golden scenarios — and topology edits must flush
-the cache so failure injection cannot see stale paths.
+and on all four GNS3 golden scenarios, and as recorded probe logs
+clean and under fault profiles — and topology edits must flush the
+cache so failure injection cannot see stale paths.
 """
 
 import pytest
 
 from repro.dataplane.engine import ForwardingEngine
+from repro.faults import FaultyBackend, fault_profile
+from repro.measure import RecordingBackend, SimBackend
 from repro.mpls.config import MplsConfig, PoppingMode
 from repro.mpls.rsvp import TeTunnel
 from repro.net.topology import Network
 from repro.net.vendors import CISCO
+from repro.probing.prober import Prober
 from repro.routing.control import ControlPlane
 from repro.synth.gns3 import SCENARIOS, build_gns3
 from repro.synth.internet import InternetConfig, build_internet
+from repro.synth.profiles import paper_profiles
 
 
 @pytest.fixture(scope="module")
@@ -153,3 +158,38 @@ class TestCacheManagement:
             assert outcome_c == outcome_u
         # Both engines account one probe + one reply per responsive hop.
         assert cached.packets_simulated == uncached.packets_simulated
+
+
+def _record_log(tmp_path, trajectory_cache, profile):
+    """Probe through a recording backend; returns the log's bytes."""
+    internet = build_internet(
+        InternetConfig(
+            profiles=tuple(paper_profiles(0.4)),
+            vantage_points=3,
+            stubs_per_transit=2,
+            seed=11,
+            trajectory_cache=trajectory_cache,
+        )
+    )
+    backend = SimBackend(internet.engine)
+    if profile != "clean":
+        backend = FaultyBackend(backend, fault_profile(profile))
+    path = tmp_path / f"{trajectory_cache}.jsonl"
+    recording = RecordingBackend(backend, str(path))
+    prober = Prober(recording, obs=internet.engine.obs)
+    vp = internet.vps[0]
+    for dst in internet.campaign_targets()[:6]:
+        prober.traceroute(vp, dst)
+        prober.ping(vp, dst)
+    recording.close()
+    return path.read_bytes()
+
+
+class TestRecordedLogsMatchWalkedOracle:
+    @pytest.mark.parametrize("profile", ["clean", "hostile", "flap"])
+    def test_probe_logs_byte_identical(self, tmp_path, profile):
+        # Flaps rewire links mid-run, so the flap profile also checks
+        # that invalidation keeps the cache in step with the oracle.
+        cached = _record_log(tmp_path, True, profile)
+        walked = _record_log(tmp_path, False, profile)
+        assert cached == walked

@@ -12,6 +12,7 @@ Usage::
     PYTHONPATH=src python tools/bench_perf.py [output.json]
 """
 
+import argparse
 import json
 import subprocess
 import sys
@@ -53,42 +54,18 @@ def run_benches() -> dict:
 
 
 def cache_stats() -> dict:
-    """Trajectory-cache counters from a warm campaign replay.
-
-    Runs with two prewarm workers so the snapshot reflects the
-    parallel configuration, and merges the worker-side counters
-    (re-exported under ``prewarm.engine.*`` in the parent registry)
-    into the totals — the engine's own counters only see the parent
-    process, so without the merge a multi-worker run reports an
-    inflated hit rate (the workers' cold misses happen off-process
-    while their trajectories replay in the parent as pure hits).
-    """
+    """Trajectory-cache counters from one serial campaign."""
     sys.path.insert(0, str(REPO_ROOT / "src"))
-    from repro.campaign.orchestrator import Campaign, CampaignConfig
+    from repro.campaign.orchestrator import Campaign
     from repro.synth.internet import InternetConfig, build_internet
 
     internet = build_internet(InternetConfig(seed=77))
     campaign = Campaign(
-        internet.prober,
-        internet.vps,
-        internet.asn_of_address,
-        CampaignConfig(workers=2),
+        internet.prober, internet.vps, internet.asn_of_address
     )
     campaign.run(internet.campaign_targets())
     stats = internet.engine.cache_stats()
-    metrics = internet.prober.obs.metrics
-    prewarm_hits = metrics.get("prewarm.engine.trajectory_hits")
-    prewarm_misses = metrics.get("prewarm.engine.trajectory_misses")
-    hits = stats["trajectory_hits"] + prewarm_hits
-    misses = stats["trajectory_misses"] + prewarm_misses
-    total = hits + misses
-    stats.update(
-        trajectory_hits=hits,
-        trajectory_misses=misses,
-        hit_rate=round(hits / total, 4) if total else 0.0,
-        prewarm_worker_hits=prewarm_hits,
-        prewarm_worker_misses=prewarm_misses,
-    )
+    stats["hit_rate"] = round(stats["hit_rate"], 4)
     return stats
 
 
@@ -368,11 +345,18 @@ def fleet_stats() -> dict:
     return {"throughput": throughput, "recovery": recovery}
 
 
-def main() -> int:
+def main(argv=None) -> int:
     """Run everything and write the JSON snapshot."""
-    output = Path(
-        sys.argv[1] if len(sys.argv) > 1 else REPO_ROOT / "BENCH_perf.json"
+    parser = argparse.ArgumentParser(
+        description=__doc__.split("\n\n")[0]
     )
+    parser.add_argument(
+        "output", nargs="?", type=Path,
+        default=REPO_ROOT / "BENCH_perf.json",
+        help="where to write the snapshot (default: BENCH_perf.json "
+        "at the repository root)",
+    )
+    output = parser.parse_args(argv).output
     snapshot = {
         "benches": run_benches(),
         "campaign_cache": cache_stats(),
@@ -390,21 +374,6 @@ def main() -> int:
         snapshot["traceroute_speedup"] = round(
             uncached["mean_us"] / cached["mean_us"], 2
         )
-    compiled_speedup = {}
-    for name, base_name, compiled_name in (
-        ("traceroute", "test_perf_full_traceroute_uncached",
-         "test_perf_full_traceroute_compiled"),
-        ("cold_routing", "test_perf_cold_vs_warm_routing",
-         "test_perf_cold_routing_compiled"),
-    ):
-        base = benches.get(base_name)
-        compiled = benches.get(compiled_name)
-        if base and compiled and compiled["mean_us"]:
-            compiled_speedup[name] = round(
-                base["mean_us"] / compiled["mean_us"], 2
-            )
-    if compiled_speedup:
-        snapshot["compiled_speedup"] = compiled_speedup
     output.write_text(json.dumps(snapshot, indent=2) + "\n")
     print(f"wrote {output}")
     return 0

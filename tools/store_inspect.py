@@ -293,7 +293,10 @@ def render(summary: dict) -> str:
 
 
 def main(argv: List[str]) -> int:
-    if len(argv) != 2 or argv[1] in ("-h", "--help"):
+    if argv[1:] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     snapshots = find_snapshots(argv[1])

@@ -288,7 +288,10 @@ def render_warehouse(root: str) -> Optional[str]:
 
 
 def main(argv: List[str]) -> int:
-    if len(argv) != 2 or argv[1] in ("-h", "--help"):
+    if argv[1:] in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
+    if len(argv) != 2:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     path = argv[1]

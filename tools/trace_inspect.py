@@ -201,18 +201,6 @@ def render(summary: dict) -> str:
     )
     lines.append("")
 
-    compiled = {
-        name: value
-        for name, value in summary["counters"].items()
-        if name.startswith("dataplane.compiled.")
-    }
-    if any(compiled.values()):
-        lines.append("## Compiled data plane")
-        for name, value in sorted(compiled.items()):
-            label = name[len("dataplane.compiled."):]
-            lines.append(f"  {label:<22s} {value:>8d}")
-        lines.append("")
-
     monitor = {
         name: value
         for name, value in summary["counters"].items()
@@ -361,7 +349,10 @@ def main(argv: List[str]) -> int:
     faults_only = "--faults" in arguments
     if faults_only:
         arguments.remove("--faults")
-    if len(arguments) != 1 or arguments[0] in ("-h", "--help"):
+    if arguments in (["-h"], ["--help"]):
+        print(__doc__.strip())
+        return 0
+    if len(arguments) != 1:
         print(__doc__.strip(), file=sys.stderr)
         return 2
     path = arguments[0]
